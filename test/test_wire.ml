@@ -120,7 +120,14 @@ let test_batch_update_size_grows_per_block () =
   in
   let one = Wire.size (mk 1) in
   let four = Wire.size (mk 4) in
-  Alcotest.(check bool) "k payloads" true (four - one >= 3 * Block.size)
+  Alcotest.(check bool) "k payloads" true (four - one >= 3 * Block.size);
+  (* ...yet batching still pays on the wire: one 16-block frame is
+     strictly smaller than 16 single-block frames. *)
+  let single =
+    Wire.encode (Wire.Block_update { rid = None; block = 0; version = 1; data = Block.zero; carried_w = set [] })
+  in
+  Alcotest.(check bool) "batch-16 frame < 16 single frames" true
+    (Bytes.length (Wire.encode (mk 16)) < 16 * Bytes.length single)
 
 let test_categories_cover_accounting () =
   (* Every message lands in some accounting category (total function), and
