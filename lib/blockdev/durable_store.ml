@@ -200,8 +200,6 @@ let effective_versions t =
 let read_verified t k =
   if checksum_ok t k then Some (Store.read t.store k, Store.version t.store k) else None
 
-let bless t k = Block_file.seal t.bf k
-
 let write t k data ~version =
   let stored = Store.version t.store k in
   if version < stored then begin
@@ -380,11 +378,3 @@ let replace_disk t =
   t.armed <- None;
   t.torn_meta <- None;
   t.counters.disk_replacements <- t.counters.disk_replacements + 1
-
-let rebless t =
-  for k = 0 to capacity t - 1 do
-    bless t k
-  done;
-  t.journal <- None;
-  t.armed <- None;
-  t.torn_meta <- None

@@ -168,10 +168,5 @@ val scrub : t -> scrub_report
 
 val last_scrub : t -> scrub_report option
 
-val rebless : t -> unit
-(** Recompute every checksum from the current store contents and clear the
-    journal — for checkpoint restore, which rebuilds stores directly and
-    by construction restores only verified state. *)
-
 val counters : t -> counters
 (** Live counters for this store (shared, not a snapshot). *)

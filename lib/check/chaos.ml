@@ -577,7 +577,7 @@ let run_against env ~cluster ~schedule =
   let rt = Cluster.runtime cluster in
   let n_blocks = Cluster.n_blocks cluster in
   (* Oracle baseline: the newest committed state per block at entry, so a
-     restored (checkpointed) cluster's contents are legal first reads. *)
+     used cluster's contents are legal first reads. *)
   let baseline_tbl =
     Array.init n_blocks (fun block ->
         let best = ref (0, Blockdev.Block.zero) in

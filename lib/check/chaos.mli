@@ -247,10 +247,11 @@ val cluster_of_env : env -> Blockrep.Cluster.t
 
 val run_against : env -> cluster:Blockrep.Cluster.t -> schedule:schedule -> outcome
 (** Play [schedule] and the client workload against an existing cluster —
-    the entry point for checkpoint-resume checks.  Events scheduled
-    before the cluster's current virtual time are skipped.  The oracle
-    baseline is captured from the cluster's stores at entry, so a
-    restored cluster's prior contents are legal initial reads. *)
+    one with probes already attached, or one resumed after earlier use.
+    Events scheduled before the cluster's current virtual time are
+    skipped.  The oracle baseline is captured from the cluster's stores
+    at entry, so a used cluster's prior contents are legal initial
+    reads. *)
 
 val run : ?schedule:schedule -> env -> outcome
 (** Fresh cluster + generated (or given) schedule + workload + verdict. *)

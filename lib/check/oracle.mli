@@ -23,9 +23,9 @@
     only holds the register to what it has already revealed.
 
     The [baseline] gives the pre-history contents (version and payload per
-    block) for histories that start on a used cluster — e.g. resuming
-    after a checkpoint restore; the default is the all-zero initial
-    device. *)
+    block) for histories that start on a used cluster — e.g. a chaos
+    run resumed on a cluster that already served operations; the default
+    is the all-zero initial device. *)
 
 val check :
   ?baseline:(int -> int * Blockdev.Block.t) -> History.t -> Violation.t list

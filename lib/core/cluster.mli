@@ -15,7 +15,7 @@ val create : Config.t -> t
 val config : t -> Config.t
 
 (** [runtime t] is the underlying runtime, for tooling that needs raw site
-    access (checkpointing, white-box tests).  Mutating it bypasses the
+    access (probes, invariant scans, white-box tests).  Mutating it bypasses the
     protocol; ordinary clients should never need it. *)
 val runtime : t -> Runtime.t
 val engine : t -> Sim.Engine.t

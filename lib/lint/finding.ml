@@ -37,31 +37,3 @@ let compare_by_site a b =
 let to_string t =
   let status = match t.justification with None -> "" | Some j -> Printf.sprintf " (allowed: %s)" j in
   Printf.sprintf "%s:%d:%d: [%s] %s%s" t.pos.file t.pos.line t.pos.col t.rule t.message status
-
-(* Minimal JSON rendering — enough for a machine-readable CI artifact
-   without pulling a JSON library into the build. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json t =
-  let just =
-    match t.justification with
-    | None -> "null"
-    | Some j -> Printf.sprintf "\"%s\"" (json_escape j)
-  in
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"unit\":\"%s\",\"library\":\"%s\",\"message\":\"%s\",\"suppressed\":%b,\"justification\":%s}"
-    (json_escape t.rule) (json_escape t.pos.file) t.pos.line t.pos.col (json_escape t.unit_name)
-    (json_escape t.library) (json_escape t.message) (suppressed t) just

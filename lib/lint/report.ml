@@ -1,7 +1,7 @@
-(* Rendering: a human report grouped by file, and a JSON document for
-   the CI artifact.  Suppressed findings are listed with their
-   justifications — a suppression is a visible, reviewed decision, not
-   a way to make a finding disappear. *)
+(* Rendering: a human report grouped by file, and JSON and SARIF
+   documents (built as [Util.Json.t]) for the CI artifacts.  Suppressed
+   findings are listed with their justifications — a suppression is a
+   visible, reviewed decision, not a way to make a finding disappear. *)
 
 type summary = {
   total : int;
@@ -56,82 +56,87 @@ let pp_human ppf findings =
     Format.fprintf ppf "@."
   end
 
+let finding_json (f : Finding.t) =
+  let open Util.Json in
+  Obj
+    [
+      ("rule", Str f.rule);
+      ("file", Str f.pos.file);
+      ("line", Int f.pos.line);
+      ("col", Int f.pos.col);
+      ("unit", Str f.unit_name);
+      ("library", Str f.library);
+      ("message", Str f.message);
+      ("suppressed", Bool (Finding.suppressed f));
+      ("justification", match f.justification with None -> Null | Some j -> Str j);
+    ]
+
 let to_json findings =
+  let open Util.Json in
   let s = summarize findings in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"version\": 1,\n  \"summary\": {";
-  Buffer.add_string b
-    (Printf.sprintf "\"total\": %d, \"unsuppressed\": %d, \"suppressed\": %d, \"by_rule\": {"
-       s.total s.unsuppressed s.suppressed);
-  List.iteri
-    (fun i (r, n) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (Printf.sprintf "\"%s\": %d" (Finding.json_escape r) n))
-    s.by_rule;
-  Buffer.add_string b "}},\n  \"findings\": [\n";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "    ";
-      Buffer.add_string b (Finding.to_json f))
-    findings;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  to_string
+    (Obj
+       [
+         ("version", Int 1);
+         ( "summary",
+           Obj
+             [
+               ("total", Int s.total);
+               ("unsuppressed", Int s.unsuppressed);
+               ("suppressed", Int s.suppressed);
+               ("by_rule", Obj (List.map (fun (r, n) -> (r, Int n)) s.by_rule));
+             ] );
+         ("findings", Arr (List.map finding_json findings));
+       ])
 
 (* SARIF 2.1.0, the exchange format GitHub code scanning ingests: each
    finding becomes a [result] with a physical location, suppressed
    findings carry a [suppressions] entry (code scanning then shows them
    as reviewed rather than open), and the rule metadata comes from
-   [Config.rule_descriptions].  Hand-rendered like [to_json]: the
-   subset we emit is small and a JSON library is not worth a
-   dependency. *)
+   [Config.rule_descriptions]. *)
+let sarif_result (f : Finding.t) =
+  let open Util.Json in
+  let region = Obj [ ("startLine", Int (max 1 f.pos.line)); ("startColumn", Int (f.pos.col + 1)) ] in
+  let location =
+    Obj
+      [
+        ( "physicalLocation",
+          Obj [ ("artifactLocation", Obj [ ("uri", Str f.pos.file) ]); ("region", region) ] );
+      ]
+  in
+  let suppressions =
+    match f.justification with
+    | None -> []
+    | Some j -> [ Obj [ ("kind", Str "inSource"); ("justification", Str j) ] ]
+  in
+  Obj
+    [
+      ("ruleId", Str f.rule);
+      ("level", Str "error");
+      ("message", Obj [ ("text", Str f.message) ]);
+      ("locations", Arr [ location ]);
+      ("suppressions", Arr suppressions);
+    ]
+
 let to_sarif findings =
-  let e = Finding.json_escape in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b
-    "{\n\
-    \  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n\
-    \  \"version\": \"2.1.0\",\n\
-    \  \"runs\": [\n\
-    \    {\n\
-    \      \"tool\": {\n\
-    \        \"driver\": {\n\
-    \          \"name\": \"blockrep-lint\",\n\
-    \          \"informationUri\": \"https://example.invalid/blockrep\",\n\
-    \          \"rules\": [\n";
-  List.iteri
-    (fun i rule ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let desc =
-        match List.assoc_opt rule Config.rule_descriptions with
-        | Some d -> d
-        | None -> rule
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "            {\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}" (e rule)
-           (e desc)))
-    Config.rule_ids;
-  Buffer.add_string b "\n          ]\n        }\n      },\n      \"results\": [\n";
-  List.iteri
-    (fun i (f : Finding.t) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      let suppressions =
-        match f.Finding.justification with
-        | None -> "\"suppressions\": []"
-        | Some j ->
-            Printf.sprintf
-              "\"suppressions\": [{\"kind\": \"inSource\", \"justification\": \"%s\"}]" (e j)
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "        {\"ruleId\": \"%s\", \"level\": \"error\", \"message\": {\"text\": \"%s\"}, \
-            \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"%s\"}, \
-            \"region\": {\"startLine\": %d, \"startColumn\": %d}}}], %s}"
-           (e f.Finding.rule) (e f.Finding.message) (e f.Finding.pos.Finding.file)
-           (max 1 f.Finding.pos.Finding.line)
-           (f.Finding.pos.Finding.col + 1)
-           suppressions))
-    findings;
-  Buffer.add_string b "\n      ]\n    }\n  ]\n}\n";
-  Buffer.contents b
+  let open Util.Json in
+  let rule id =
+    let desc = Option.value (List.assoc_opt id Config.rule_descriptions) ~default:id in
+    Obj [ ("id", Str id); ("shortDescription", Obj [ ("text", Str desc) ]) ]
+  in
+  let driver =
+    Obj
+      [
+        ("name", Str "blockrep-lint");
+        ("informationUri", Str "https://example.invalid/blockrep");
+        ("rules", Arr (List.map rule Config.rule_ids));
+      ]
+  in
+  let run = Obj [ ("tool", Obj [ ("driver", driver) ]); ("results", Arr (List.map sarif_result findings)) ] in
+  to_string
+    (Obj
+       [
+         ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");
+         ("version", Str "2.1.0");
+         ("runs", Arr [ run ]);
+       ])

@@ -62,7 +62,8 @@ let validate_profile p =
   let* () = prob "garbage_prefix" p.corruption.garbage_prefix in
   let* () = prob "garbage_suffix" p.corruption.garbage_suffix in
   let* () = prob "splice" p.corruption.splice in
-  if p.extra_delay < 0.0 || Float.is_nan p.extra_delay then Error "extra_delay must be non-negative"
+  if not (Float.is_finite p.extra_delay && p.extra_delay >= 0.0) then
+    Error "extra_delay must be finite and non-negative"
   else Ok p
 
 let make ?(drop = 0.0) ?(duplicate = 0.0) ?(reorder = 0.0) ?(jitter = Util.Dist.Constant 0.0)

@@ -35,7 +35,7 @@ type header = {
   mutable service : bool;
 }
 
-type t = { header : header; events : event list }
+type t = { config : Blockrep.Config.t; horizon : float option; events : event list }
 
 let state_of_string = function
   | "failed" -> Some Blockrep.Types.Failed
@@ -217,8 +217,11 @@ let parse_header_line header ~line words =
       | None -> Error (Printf.sprintf "line %d: track-liveness wants true/false" line))
   | [ "horizon"; x ] ->
       let* x = parse_float ~line "horizon" x in
-      header.horizon <- Some x;
-      Ok ()
+      if not (Float.is_finite x && x >= 0.0) then Error (Printf.sprintf "line %d: bad horizon %g" line x)
+      else begin
+        header.horizon <- Some x;
+        Ok ()
+      end
   | [ "fault-drop"; x ] ->
       let* x = parse_float ~line "fault-drop" x in
       header.faults <- { header.faults with Net.Faults.drop = x };
@@ -248,6 +251,42 @@ let parse_header_line header ~line words =
   | key :: _ -> Error (Printf.sprintf "line %d: unknown directive %S" line key)
   | [] -> Ok ()
 
+(* Every id an event names must exist in the header's cluster, and every
+   argument must be one the cluster accepts, so [run] never raises on a
+   parsed scenario. *)
+let check_event (config : Blockrep.Config.t) ev =
+  let sites, blocks =
+    match ev.action with
+    | Heal | Expect_available _ | Expect_consistent | Expect_inconsistent | Check_invariants -> ([], [])
+    | Fail s
+    | Repair s
+    | Crash_torn s
+    | Disk_replace s
+    | Expect_state (s, _)
+    | Slow_site (s, _)
+    | Burst (s, _)
+    | Queue_flood (s, _) ->
+        ([ s ], [])
+    | Partition groups -> (List.concat groups, [])
+    | Bitrot (s, b)
+    | Write (s, b, _)
+    | Read (s, b)
+    | Expect_read (s, b, _)
+    | Expect_read_fail (s, b)
+    | Expect_write_fail (s, b) ->
+        ([ s ], [ b ])
+  in
+  let outside n = List.find_opt (fun i -> i < 0 || i >= n) in
+  let fail fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "line %d: %s" ev.line msg)) fmt in
+  match (outside config.n_sites sites, outside config.n_blocks blocks, ev.action) with
+  | Some s, _, _ -> fail "site %d out of range (%d sites)" s config.n_sites
+  | None, Some b, _ -> fail "block %d out of range (%d blocks)" b config.n_blocks
+  | _, _, Slow_site (_, f) when not (Float.is_finite f && f > 0.0) ->
+      fail "rate factor %g must be positive" f
+  | _, _, (Burst (_, n) | Queue_flood (_, n)) when n < 0 -> fail "count %d is negative" n
+  | _ when not (Float.is_finite ev.time && ev.time >= 0.0) -> fail "bad time %g" ev.time
+  | _ -> Ok ()
+
 let parse text =
   let header = fresh_header () in
   let lines = String.split_on_char '\n' text in
@@ -270,10 +309,20 @@ let parse text =
   match (header.scheme, header.sites) with
   | None, _ -> Error "missing 'scheme' directive"
   | _, None -> Error "missing 'sites' directive"
-  | Some _, Some _ -> (
-      match Net.Faults.validate_profile header.faults with
-      | Error e -> Error ("bad fault directives: " ^ e)
-      | Ok _ -> Ok { header; events })
+  | Some scheme, Some n_sites ->
+      let* config =
+        Blockrep.Config.make ~scheme ~n_sites ~n_blocks:header.blocks
+          ?latency:(Option.map (fun x -> Util.Dist.Constant x) header.latency)
+          ~witnesses:header.witnesses ~track_liveness:header.track_liveness ~seed:header.seed
+          ~fault_profile:header.faults
+          ?service:(if header.service then Some Net.Service_model.default else None)
+          ()
+        |> Result.map_error (fun e -> "bad header: " ^ e)
+      in
+      let* () =
+        List.fold_left (fun acc ev -> Result.bind acc (fun () -> check_event config ev)) (Ok ()) events
+      in
+      Ok { config; horizon = header.horizon; events }
 
 let parse_file path =
   match open_in path with
@@ -293,23 +342,7 @@ let payload_matches expected block =
   String.length expected <= String.length s && String.sub s 0 (String.length expected) = expected
 
 let run t =
-  let h = t.header in
-  let scheme, n_sites =
-    match (h.scheme, h.sites) with
-    | Some scheme, Some sites -> (scheme, sites)
-    | None, _ | _, None ->
-        (* parse rejects scenarios without these directives. *)
-        invalid_arg "Scenario.run: header lacks scheme or sites"
-  in
-  let config =
-    Blockrep.Config.make_exn ~scheme ~n_sites ~n_blocks:h.blocks
-      ?latency:(Option.map (fun x -> Util.Dist.Constant x) h.latency)
-      ~witnesses:h.witnesses ~track_liveness:h.track_liveness ~seed:h.seed
-      ~fault_profile:h.faults
-      ?service:(if h.service then Some Net.Service_model.default else None)
-      ()
-  in
-  let cluster = Blockrep.Cluster.create config in
+  let cluster = Blockrep.Cluster.create t.config in
   let engine = Blockrep.Cluster.engine cluster in
   let failures = ref [] in
   let events_run = ref 0 in
@@ -394,7 +427,7 @@ let run t =
     (fun ev -> ignore (Sim.Engine.schedule_at engine ~time:ev.time (fun () -> execute ev) : Sim.Engine.handle))
     t.events;
   let horizon =
-    match h.horizon with
+    match t.horizon with
     | Some x -> x
     | None -> List.fold_left (fun acc ev -> Float.max acc ev.time) 0.0 t.events +. 100.0
   in

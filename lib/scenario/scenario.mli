@@ -63,7 +63,10 @@ type outcome = {
 }
 
 val parse : string -> (t, string) result
-(** Parse scenario text; [Error] pinpoints the offending line. *)
+(** Parse scenario text; [Error] pinpoints the offending line.  The
+    header must make a valid {!Blockrep.Config.t}, and every site and
+    block an event names must exist in it, so {!run} never raises on a
+    parsed scenario. *)
 
 val parse_file : string -> (t, string) result
 

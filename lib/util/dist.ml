@@ -38,10 +38,13 @@ let coefficient_of_variation = function
 
 let validate d =
   match d with
-  | Constant c when c < 0.0 -> Error "constant must be non-negative"
-  | Exponential rate when rate <= 0.0 -> Error "exponential rate must be positive"
+  | Constant c when not (Float.is_finite c && c >= 0.0) -> Error "constant must be finite and non-negative"
+  | Exponential rate when not (Float.is_finite rate && rate > 0.0) ->
+      Error "exponential rate must be finite and positive"
   | Erlang (k, _) when k < 1 -> Error "erlang shape must be >= 1"
-  | Erlang (_, rate) when rate <= 0.0 -> Error "erlang rate must be positive"
+  | Erlang (_, rate) when not (Float.is_finite rate && rate > 0.0) ->
+      Error "erlang rate must be finite and positive"
+  | Uniform (lo, hi) when not (Float.is_finite lo && Float.is_finite hi) -> Error "uniform bounds must be finite"
   | Uniform (lo, hi) when lo > hi -> Error "uniform bounds must satisfy lo <= hi"
   | Uniform (lo, _) when lo < 0.0 -> Error "uniform support must be non-negative"
   | Constant _ | Exponential _ | Erlang _ | Uniform _ -> Ok d

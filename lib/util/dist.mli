@@ -25,9 +25,9 @@ val coefficient_of_variation : t -> float
     constant). *)
 
 val validate : t -> (t, string) result
-(** [validate d] checks the parameters (positive rates, [k >= 1],
-    [lo <= hi], non-negative support) and returns [Error] with a
-    human-readable reason otherwise. *)
+(** [validate d] checks the parameters (finite values, positive rates,
+    [k >= 1], [lo <= hi], non-negative support) and returns [Error] with
+    a human-readable reason otherwise. *)
 
 val exponential : rate:float -> Prng.t -> float
 (** Direct exponential sampler by inversion; [rate] must be positive. *)

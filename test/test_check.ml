@@ -378,46 +378,6 @@ let test_drops_caught_or_survived () =
   Alcotest.(check bool) "drops do break fire-and-forget NAC" true (a.Chaos.failing <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint round trip under chaos                                   *)
-(* ------------------------------------------------------------------ *)
-
-let prop_checkpoint_roundtrip =
-  QCheck.Test.make ~name:"chaos -> checkpoint -> restore -> chaos stays consistent" ~count:8
-    QCheck.(int_range 1 500)
-    (fun seed ->
-      let env = { (Chaos.default_env ~seed Types.Available_copy) with Chaos.ops = 60 } in
-      (* Phase 1 ends quiescent and fully repaired (run_against settles and
-         repairs before its final scans). *)
-      let cluster = Chaos.cluster_of_env env in
-      let phase1 = Chaos.run_against env ~cluster ~schedule:(Chaos.generate_schedule env) in
-      if Chaos.violations phase1 <> [] then
-        QCheck.Test.fail_reportf "phase 1 violated its own envelope (seed %d)" seed;
-      let path = Filename.temp_file "blockrep" ".ckpt" in
-      let ( let* ) = Result.bind in
-      let result =
-        let* () = Blockrep.Checkpoint.save cluster path in
-        let fresh = Chaos.cluster_of_env env in
-        let* () = Blockrep.Checkpoint.restore fresh path in
-        Ok fresh
-      in
-      Sys.remove path;
-      match result with
-      | Error e -> QCheck.Test.fail_reportf "checkpoint failed: %s" e
-      | Ok fresh ->
-          (* Resume different chaos on the restored cluster; the oracle's
-             baseline comes from the restored stores. *)
-          let env2 = { env with Chaos.seed = seed + 1000 } in
-          let phase2 =
-            Chaos.run_against env2 ~cluster:fresh ~schedule:(Chaos.generate_schedule env2)
-          in
-          (match Chaos.violations phase2 with
-          | [] -> ()
-          | v :: _ ->
-              QCheck.Test.fail_reportf "after restore (seed %d): %s" seed
-                (Check.Violation.to_string v));
-          true)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "check"
@@ -465,5 +425,4 @@ let () =
           Alcotest.test_case "weakened quorum caught" `Slow test_weakened_quorum_caught;
           Alcotest.test_case "drops break NAC" `Quick test_drops_caught_or_survived;
         ] );
-      ("checkpoint", [ QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip ]);
     ]

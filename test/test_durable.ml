@@ -203,16 +203,6 @@ let test_replace_disk () =
     (Durable.get_meta d "w");
   Alcotest.(check int) "counted" 1 (Durable.counters d).Durable.disk_replacements
 
-let test_rebless_after_direct_store_write () =
-  let d = Durable.create ~capacity:2 in
-  (* Checkpoint restore writes the underlying store directly... *)
-  Store.write (Durable.store d) 0 (block "restored") ~version:5;
-  Alcotest.(check bool) "stale checksum before" false (Durable.checksum_ok d 0);
-  (* ...then re-blesses: by construction it restores only verified state. *)
-  Durable.rebless d;
-  Alcotest.(check bool) "verified after" true (Durable.checksum_ok d 0);
-  Alcotest.(check int) "effective version" 5 (Durable.effective_version d 0)
-
 let test_counter_accumulation () =
   let a = Durable.zero_counters () in
   let d = Durable.create ~capacity:2 in
@@ -293,7 +283,6 @@ let () =
       ( "replacement",
         [
           Alcotest.test_case "replace disk" `Quick test_replace_disk;
-          Alcotest.test_case "rebless" `Quick test_rebless_after_direct_store_write;
           Alcotest.test_case "counter accumulation" `Quick test_counter_accumulation;
         ] );
     ]

@@ -30,13 +30,6 @@ let test_save_load_roundtrip () =
   | None -> Alcotest.fail "read failed");
   Sys.remove path
 
-let test_capacity_of () =
-  let dev = Mem.create ~capacity:7 in
-  let path = temp () in
-  ok_or_fail (Blockdev.Image.save (module Mem) dev path);
-  Alcotest.(check int) "header capacity" 7 (ok_or_fail (Blockdev.Image.capacity_of path));
-  Sys.remove path
-
 let test_restore_capacity_mismatch () =
   let dev = Mem.create ~capacity:8 in
   let path = temp () in
@@ -135,13 +128,64 @@ let prop_image_roundtrip =
       Sys.remove path;
       result)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data = Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+type mutation = Xor of int * int | Truncate of int | Append of string
+
+let mutate image = function
+  | Xor (pos, mask) ->
+      let b = Bytes.of_string image in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask));
+      Bytes.to_string b
+  | Truncate len -> String.sub image 0 len
+  | Append junk -> image ^ junk
+
+let contents dev = List.init (Mem.capacity dev) (fun k -> Mem.read_block dev k)
+
+let prop_mutated_image_refused =
+  let dev = Mem.create ~capacity:4 in
+  ignore (Mem.write_block dev 1 (Block.of_string "one"));
+  ignore (Mem.write_block dev 3 (Block.of_string "three"));
+  let path = temp () in
+  ok_or_fail (Blockdev.Image.save (module Mem) dev path);
+  let image = read_file path in
+  Sys.remove path;
+  let len = String.length image in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map2 (fun pos mask -> Xor (pos, mask)) (int_bound (len - 1)) (int_range 1 255);
+          map (fun n -> Truncate n) (int_bound (len - 1));
+          map (fun s -> Append s) (string_size ~gen:char (int_range 1 8));
+        ])
+  in
+  let print = function
+    | Xor (pos, mask) -> Printf.sprintf "xor 0x%02x at %d" mask pos
+    | Truncate n -> Printf.sprintf "truncate to %d" n
+    | Append s -> Printf.sprintf "append %S" s
+  in
+  QCheck.Test.make ~name:"a mutated image is refused and restores nothing" ~count:300
+    (QCheck.make ~print gen) (fun m ->
+      let path = temp () in
+      write_file path (mutate image m);
+      let target = Mem.create ~capacity:4 in
+      ignore (Mem.write_block target 1 (Block.of_string "target"));
+      let before = contents target in
+      let loaded = Blockdev.Image.load_mem path in
+      let restored = Blockdev.Image.restore (module Mem) target path in
+      Sys.remove path;
+      Result.is_error loaded && Result.is_error restored
+      && List.equal (Option.equal Block.equal) (contents target) before)
+
 let () =
   Alcotest.run "image"
     [
       ( "image",
         [
           Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
-          Alcotest.test_case "capacity_of" `Quick test_capacity_of;
           Alcotest.test_case "capacity mismatch" `Quick test_restore_capacity_mismatch;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "truncated image" `Quick test_truncated_image;
@@ -149,5 +193,6 @@ let () =
           Alcotest.test_case "fs travels between devices" `Quick
             test_filesystem_travels_between_device_kinds;
           QCheck_alcotest.to_alcotest prop_image_roundtrip;
+          QCheck_alcotest.to_alcotest prop_mutated_image_refused;
         ] );
     ]

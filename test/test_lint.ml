@@ -174,6 +174,198 @@ let test_codec_domain_safe () =
     Alcotest.(check int) "codec library is domain-safe" 0 (List.length bad)
   end
 
+(* The JSON and SARIF renderings, pinned byte for byte: one unsuppressed
+   finding whose message needs escaping, one suppressed finding. *)
+let pinned_findings =
+  let pos file line col = { F.file; line; col } in
+  [
+    F.make ~rule:"partiality" ~pos:(pos "lib/a.ml" 3 4) ~unit_name:"A" ~library:"a"
+      ~message:"say \"no\"\n\tthen stop" ~justification:None;
+    F.make ~rule:"hashtbl-order" ~pos:(pos "lib/b.ml" 0 0) ~unit_name:"B" ~library:"b"
+      ~message:"unordered" ~justification:(Some "keys are distinct");
+  ]
+
+let expected_json =
+  {|{
+  "version": 1,
+  "summary": {
+    "total": 2,
+    "unsuppressed": 1,
+    "suppressed": 1,
+    "by_rule": {
+      "determinism": 0,
+      "hashtbl-order": 0,
+      "poly-compare": 0,
+      "wire-exhaustive": 0,
+      "partiality": 1,
+      "domain-capture": 0,
+      "shared-global": 0,
+      "merge-only-sharing": 0,
+      "lint-allow": 0,
+      "lint-internal": 0
+    }
+  },
+  "findings": [
+    {
+      "rule": "partiality",
+      "file": "lib/a.ml",
+      "line": 3,
+      "col": 4,
+      "unit": "A",
+      "library": "a",
+      "message": "say \"no\"\n\u0009then stop",
+      "suppressed": false,
+      "justification": null
+    },
+    {
+      "rule": "hashtbl-order",
+      "file": "lib/b.ml",
+      "line": 0,
+      "col": 0,
+      "unit": "B",
+      "library": "b",
+      "message": "unordered",
+      "suppressed": true,
+      "justification": "keys are distinct"
+    }
+  ]
+}
+|}
+
+let expected_sarif =
+  {|{
+  "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+  "version": "2.1.0",
+  "runs": [
+    {
+      "tool": {
+        "driver": {
+          "name": "blockrep-lint",
+          "informationUri": "https://example.invalid/blockrep",
+          "rules": [
+            {
+              "id": "determinism",
+              "shortDescription": {
+                "text": "No wall clocks or unseeded randomness inside the simulation envelope"
+              }
+            },
+            {
+              "id": "hashtbl-order",
+              "shortDescription": {
+                "text": "Unordered Hashtbl iteration must be laundered through a sort or justified"
+              }
+            },
+            {
+              "id": "poly-compare",
+              "shortDescription": {
+                "text": "No structural compare at wire, closure-carrying or tree-backed types"
+              }
+            },
+            {
+              "id": "wire-exhaustive",
+              "shortDescription": {
+                "text": "Wire dispatches enumerate constructors; charging maps each exactly once"
+              }
+            },
+            {
+              "id": "partiality",
+              "shortDescription": {
+                "text": "No partial stdlib functions or assert false in protocol code"
+              }
+            },
+            {
+              "id": "domain-capture",
+              "shortDescription": {
+                "text": "Thunks crossing a domain boundary must not capture transitively-mutable state"
+              }
+            },
+            {
+              "id": "shared-global",
+              "shortDescription": {
+                "text": "No top-level mutable state in sim-critical libraries"
+              }
+            },
+            {
+              "id": "merge-only-sharing",
+              "shortDescription": {
+                "text": "Lanes may share mutable state only through blessed merge points"
+              }
+            },
+            {
+              "id": "lint-allow",
+              "shortDescription": {
+                "text": "[@lint.allow] needs a known rule and a non-blank justification"
+              }
+            },
+            {
+              "id": "lint-internal",
+              "shortDescription": {
+                "text": "The linter could not read or analyse a compilation unit"
+              }
+            }
+          ]
+        }
+      },
+      "results": [
+        {
+          "ruleId": "partiality",
+          "level": "error",
+          "message": {
+            "text": "say \"no\"\n\u0009then stop"
+          },
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {
+                  "uri": "lib/a.ml"
+                },
+                "region": {
+                  "startLine": 3,
+                  "startColumn": 5
+                }
+              }
+            }
+          ],
+          "suppressions": []
+        },
+        {
+          "ruleId": "hashtbl-order",
+          "level": "error",
+          "message": {
+            "text": "unordered"
+          },
+          "locations": [
+            {
+              "physicalLocation": {
+                "artifactLocation": {
+                  "uri": "lib/b.ml"
+                },
+                "region": {
+                  "startLine": 1,
+                  "startColumn": 1
+                }
+              }
+            }
+          ],
+          "suppressions": [
+            {
+              "kind": "inSource",
+              "justification": "keys are distinct"
+            }
+          ]
+        }
+      ]
+    }
+  ]
+}
+|}
+
+let test_report_json () =
+  Alcotest.(check string) "json" expected_json (Lint.Report.to_json pinned_findings)
+
+let test_report_sarif () =
+  Alcotest.(check string) "sarif" expected_sarif (Lint.Report.to_sarif pinned_findings)
+
 let () =
   Alcotest.run "lint"
     [
@@ -193,6 +385,11 @@ let () =
           Alcotest.test_case "lint.allow machinery" `Quick test_allow;
           Alcotest.test_case "domain-safety suppressions" `Quick test_capture_allowed;
           Alcotest.test_case "summary totals" `Quick test_summary;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "json rendering" `Quick test_report_json;
+          Alcotest.test_case "sarif rendering" `Quick test_report_sarif;
         ] );
       ( "policy",
         [

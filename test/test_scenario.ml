@@ -58,6 +58,35 @@ let test_parse_rejects_bad_fault_probability () =
   let e = parse_err "scheme voting\nsites 3\nfault-drop 1.5\n@1 fail 0\n" in
   Alcotest.(check bool) "bad fault directive reported" true (String.length e > 0)
 
+(* Text that used to parse and then crash or hang the run: each must now be a
+   parse error, and [check] must return it rather than raise. *)
+let test_parse_rejects_out_of_range () =
+  let header = "scheme ac\nsites 3\nblocks 8\nservice-model true\n" in
+  List.iter
+    (fun line ->
+      let text = header ^ line ^ "\n" in
+      (match Scenario.parse text with
+      | Ok _ -> Alcotest.failf "%S parsed" line
+      | Error _ -> ());
+      match Scenario.check text with
+      | Ok () -> Alcotest.failf "%S passed" line
+      | Error _ -> ())
+    [
+      "sites 0";
+      "latency -1";
+      "horizon -5";
+      "latency nan";
+      "fault-delay inf";
+      "@1 fail 99";
+      "@1 write 0 99 x";
+      "@1 bitrot 0 99";
+      "@1 partition 0 | 3";
+      "@1 expect-read -1 0 x";
+      "@1 slow-site 0 0";
+      "@1 queue-flood 0 -1";
+      "@-1 heal";
+    ]
+
 let test_faulty_scenario_still_passes_expectations () =
   (* A lossy wire plus the retry layer: the scenario's expectations must
      still hold because synchronous operations ride the engine until their
@@ -240,6 +269,7 @@ let () =
           Alcotest.test_case "witnesses directive" `Quick test_parse_witnesses_directive;
           Alcotest.test_case "fault directives" `Quick test_parse_fault_directives;
           Alcotest.test_case "bad fault probability" `Quick test_parse_rejects_bad_fault_probability;
+          Alcotest.test_case "out-of-range ids and arguments" `Quick test_parse_rejects_out_of_range;
           Alcotest.test_case "faulty scenario runs" `Quick test_faulty_scenario_still_passes_expectations;
         ] );
       ("generated", [ QCheck_alcotest.to_alcotest prop_generated_schedules_consistent ]);

@@ -175,6 +175,9 @@ let test_validate () =
   Alcotest.(check bool) "zero-rate exp rejected" true (bad (Util.Dist.Exponential 0.0));
   Alcotest.(check bool) "erlang k=0 rejected" true (bad (Util.Dist.Erlang (0, 1.0)));
   Alcotest.(check bool) "inverted uniform rejected" true (bad (Util.Dist.Uniform (2.0, 1.0)));
+  Alcotest.(check bool) "nan constant rejected" true (bad (Util.Dist.Constant Float.nan));
+  Alcotest.(check bool) "infinite rate rejected" true (bad (Util.Dist.Exponential Float.infinity));
+  Alcotest.(check bool) "infinite uniform rejected" true (bad (Util.Dist.Uniform (0.0, Float.infinity)));
   Alcotest.(check bool) "good exp accepted" false (bad (Util.Dist.Exponential 1.0))
 
 let test_erlang_concentration () =
