@@ -91,7 +91,7 @@ exception Bad of string
 type r = { rbuf : Bytes.t; mutable pos : int; limit : int }
 
 let reader buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then
+  if pos < 0 || len < 0 || len > Bytes.length buf - pos then
     invalid_arg "Buf.reader: region out of bounds";
   { rbuf = buf; pos; limit = pos + len }
 

@@ -345,30 +345,34 @@ let service_available t =
   let rt = t.rt in
   let config = Runtime.config rt in
   let sites = Runtime.sites rt in
-  let ok = ref true in
-  for block = 0 to config.Config.n_blocks - 1 do
+  (* versions.(i): site i's effective version of the block under test,
+     read once per block (each read is a CRC over the resident copy). *)
+  let versions = Array.make (Array.length sites) 0 in
+  let ok = ref true and block = ref 0 in
+  while !ok && !block < config.Config.n_blocks do
     let top_version = ref 0 in
-    Array.iter
-      (fun (s : Runtime.site) ->
-        top_version := Int.max !top_version (Durable.effective_version s.Runtime.durable block))
+    Array.iteri
+      (fun i (s : Runtime.site) ->
+        let v = Durable.effective_version s.Runtime.durable !block in
+        versions.(i) <- v;
+        top_version := Int.max !top_version v)
       sites;
-    let group = ref None in
-    Array.iter
-      (fun (s : Runtime.site) ->
-        if Durable.effective_version s.Runtime.durable block = !top_version then begin
-          let g = t.groups.(s.Runtime.id).(block) in
-          match !group with
-          | Some best when Int_set.cardinal best <= Int_set.cardinal g -> ()
-          | Some _ | None -> group := Some g
+    let group = ref Int_set.empty and group_size = ref max_int in
+    Array.iteri
+      (fun i v ->
+        if v = !top_version then begin
+          let g = t.groups.(i).(!block) in
+          let size = Int_set.cardinal g in
+          if size < !group_size then begin
+            group := g;
+            group_size := size
+          end
         end)
-      sites;
-    match !group with
-    | None -> ok := false
-    | Some g ->
-        let members_up =
-          Int_set.cardinal
-            (Int_set.filter (fun i -> sites.(i).Runtime.state = Types.Available) g)
-        in
-        if not (2 * members_up > Int_set.cardinal g) then ok := false
+      versions;
+    let members_up =
+      Int_set.fold (fun i n -> if sites.(i).Runtime.state = Types.Available then n + 1 else n) !group 0
+    in
+    ok := 2 * members_up > !group_size;
+    incr block
   done;
   !ok

@@ -342,28 +342,38 @@ module Make (P : PAYLOAD) = struct
     check_site t dst "send";
     if from = dst then invalid_arg "Network.send: local access needs no transmission";
     if not t.up.(from) then invalid_arg "Network.send: sender is down";
-    Traffic.record t.traffic ~bytes:(P.size payload) op (P.category payload) 1;
-    if reachable t from dst then
-      if t.encoded then
-        deliver_encoded t ~from ~dst ~cat:(P.category payload) ~frame:(P.encode payload)
-      else deliver t ~from ~dst payload
+    let cat = P.category payload in
+    if t.encoded then begin
+      (* charged from the frame actually sent *)
+      let frame = P.encode payload in
+      Traffic.record t.traffic ~bytes:(Bytes.length frame) op cat 1;
+      if reachable t from dst then deliver_encoded t ~from ~dst ~cat ~frame
+    end
+    else begin
+      Traffic.record t.traffic ~bytes:(P.size payload) op cat 1;
+      if reachable t from dst then deliver t ~from ~dst payload
+    end
 
   let broadcast t ~op ~from payload =
     check_site t from "broadcast";
     if not t.up.(from) then invalid_arg "Network.broadcast: sender is down";
     let cost = match t.mode with Multicast -> 1 | Unicast -> t.n_sites - 1 in
-    Traffic.record t.traffic ~bytes:(cost * P.size payload) op (P.category payload) cost;
+    let cat = P.category payload in
     if t.encoded then begin
-      (* encode once; per-destination damage works on its own copy *)
-      let cat = P.category payload and frame = P.encode payload in
+      (* encode once, charged from the frame's length; per-destination
+         damage works on its own copy *)
+      let frame = P.encode payload in
+      Traffic.record t.traffic ~bytes:(cost * Bytes.length frame) op cat cost;
       for dst = 0 to t.n_sites - 1 do
         if dst <> from && reachable t from dst then deliver_encoded t ~from ~dst ~cat ~frame
       done
     end
-    else
+    else begin
+      Traffic.record t.traffic ~bytes:(cost * P.size payload) op cat cost;
       for dst = 0 to t.n_sites - 1 do
         if dst <> from && reachable t from dst then deliver t ~from ~dst payload
       done
+    end
 
   let messages_delivered t = t.delivered
 end

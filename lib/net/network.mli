@@ -24,8 +24,9 @@ module type PAYLOAD = sig
 
   val size : t -> int
   (** Payload size in bytes, for the byte-level accounting of
-      {!Traffic}.  An estimate is fine; only relative magnitudes matter to
-      the Section 5 size remark. *)
+      {!Traffic} on the in-heap path.  Encoded delivery charges the
+      length of the {!encode} frame instead, so the two paths charge alike
+      exactly when [size p = Bytes.length (encode p)]. *)
 
   val encode : t -> Bytes.t
   (** The payload's wire frame, for encoded delivery.  Must round-trip:

@@ -406,6 +406,58 @@ let test_crc_known_value () =
      polynomial and reflection conventions. *)
   Alcotest.(check int) "check value" 0xCBF43926 (Codec.Crc.digest_string "123456789")
 
+(* The specification the sliced kernel must match: the classic
+   byte-at-a-time CRC-32, one table lookup per byte. *)
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let reference_digest buf ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := reference_table.((!crc lxor Char.code (Bytes.get buf i)) land 0xff) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let prop_crc_matches_reference =
+  QCheck.Test.make ~name:"digest_sub = bytewise reference on random regions" ~count:500
+    QCheck.(triple (string_of_size (Gen.int_range 0 2100)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Codec.Crc.digest_sub buf ~pos ~len = reference_digest buf ~pos ~len)
+
+let test_crc_every_alignment () =
+  (* Every start alignment of the 8-byte steps and every tail length. *)
+  let buf = Bytes.init 32 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  for pos = 0 to 7 do
+    for len = 0 to 17 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (reference_digest buf ~pos ~len) (Codec.Crc.digest_sub buf ~pos ~len)
+    done
+  done
+
+let test_regions_overflow_proof () =
+  (* [pos + len] wraps negative for these; the checks must not. *)
+  let buf = Bytes.create 16 in
+  List.iter
+    (fun (pos, len) ->
+      let raises name f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted pos %d len %d" name pos len
+        | exception Invalid_argument _ -> ()
+      in
+      raises "Crc.digest_sub" (fun () -> ignore (Codec.Crc.digest_sub buf ~pos ~len));
+      raises "Buf.reader" (fun () -> ignore (Codec.Buf.reader buf ~pos ~len)))
+    [ (1, max_int); (max_int, 1) ]
+
 let () =
   Alcotest.run "codec"
     [
@@ -434,5 +486,8 @@ let () =
         [
           Alcotest.test_case "varint roundtrip" `Quick test_varint_roundtrip;
           Alcotest.test_case "crc-32 check value" `Quick test_crc_known_value;
+          QCheck_alcotest.to_alcotest prop_crc_matches_reference;
+          Alcotest.test_case "crc-32 every alignment and tail" `Quick test_crc_every_alignment;
+          Alcotest.test_case "regions overflow-proof" `Quick test_regions_overflow_proof;
         ] );
     ]

@@ -204,6 +204,57 @@ let test_group_accessor () =
   Alcotest.(check int) "down site missed it" 1
     (Blockdev.Version_vector.get (Cluster.site_versions c 4) 0)
 
+let check_available c label want =
+  Alcotest.(check bool) label want (Cluster.system_available c)
+
+let test_predicate_over_failures_and_bitrot () =
+  (* Pins the availability predicate step by step.  Once every holder of
+     the top version is quarantined, the older version's record (the full
+     group) decides, and the answer flips. *)
+  let c = make ~blocks:1 () in
+  check_available c "fresh" true;
+  ignore (write_ok c ~site:0 ~block:0 "v1");
+  settle c;
+  Cluster.fail_site c 3;
+  Cluster.fail_site c 4;
+  check_available c "3 of 5 up" true;
+  ignore (write_ok c ~site:0 ~block:0 "v2");
+  settle c;
+  Cluster.fail_site c 2;
+  check_available c "2 of group {0,1,2} up" true;
+  Cluster.fail_site c 1;
+  check_available c "1 of group {0,1,2} up" false;
+  Cluster.repair_site c 3;
+  Cluster.repair_site c 4;
+  settle c;
+  Alcotest.(check (list int)) "repaired sites stay stale" [ 1; 1 ]
+    (List.map (fun site -> Cluster.effective_version c ~site ~block:0) [ 3; 4 ]);
+  check_available c "0, 3, 4 up but only 0 is in the top group" false;
+  List.iter (fun site -> Cluster.inject_bitrot c ~site ~block:0) [ 0; 1; 2 ];
+  Alcotest.(check int) "top copies quarantined" 0 (Cluster.effective_version c ~site:0 ~block:0);
+  check_available c "v1's full group decides: 3 of 5 up" true
+
+let test_predicate_last_block_decides () =
+  (* Blocks 0 and 1 shrink their groups to {0,1,2}; block 2 keeps the
+     full group, so it alone makes the device unavailable. *)
+  let c = make ~blocks:3 () in
+  Cluster.fail_site c 3;
+  Cluster.fail_site c 4;
+  ignore (write_ok c ~site:0 ~block:0 "b0");
+  ignore (write_ok c ~site:0 ~block:1 "b1");
+  settle c;
+  check_available c "3 of 5 up" true;
+  Cluster.fail_site c 2;
+  check_available c "block 2 has 2 of 5" false;
+  List.iter (fun block -> ignore (read_ok c ~site:0 ~block)) [ 0; 1 ];
+  (match Cluster.read_sync c ~site:0 ~block:2 with
+  | Error Types.No_quorum -> ()
+  | Ok _ -> Alcotest.fail "block 2 served without its group"
+  | Error e -> Alcotest.failf "wrong refusal: %s" (Types.failure_reason_to_string e));
+  Cluster.repair_site c 2;
+  settle c;
+  check_available c "3 of 5 up again" true
+
 let test_oracle_under_churn () =
   (* The cross-scheme oracle: successful reads always return the latest
      successfully written value, under random fail/repair churn. *)
@@ -250,6 +301,9 @@ let () =
           Alcotest.test_case "regrowth after repair" `Quick test_pair_member_serves_alone_cannot;
           Alcotest.test_case "per-block groups" `Quick test_per_block_groups_independent;
           Alcotest.test_case "version visibility" `Quick test_group_accessor;
+          Alcotest.test_case "predicate over failures and bitrot" `Quick
+            test_predicate_over_failures_and_bitrot;
+          Alcotest.test_case "predicate: last block decides" `Quick test_predicate_last_block_decides;
         ] );
       ( "safety",
         [
