@@ -42,11 +42,13 @@ let accumulate_counters acc c =
   acc.disk_replacements <- acc.disk_replacements + c.disk_replacements;
   acc.journal_commits <- acc.journal_commits + c.journal_commits
 
+type slot = W | Group of Block.id
+
 type scrub_report = {
   replayed : int;
   discarded : int;
   quarantined : int;
-  meta_reset : string list;
+  meta_reset : slot option;
 }
 
 type intention =
@@ -57,7 +59,7 @@ type intention =
       prev_version : int;
       prev_data : Block.t;
     }
-  | Meta of { key : string; value : int list; prev : int list option }
+  | Meta of { slot : slot; value : int list; prev : int list option }
 
 (* The journal is real bytes: one checksummed {!Codec.Frame} holding the
    serialized intention, followed by a single commit byte (0x00 pending,
@@ -68,15 +70,18 @@ type intention =
    the discard path — no modeled flag stands in for the arithmetic. *)
 
 module B = Codec.Buf
+module Int_map = Map.Make (Int)
 
+(* The metadata records: absent means "every site", so a store that never
+   writes one holds nothing for it. *)
 type t = {
   store : Store.t;
   bf : Block_file.t;
-  meta : (string, int list) Hashtbl.t;
-  meta_defaults : (string, int list) Hashtbl.t;
+  mutable w : int list option;
+  mutable groups : int list Int_map.t;
   mutable journal : Bytes.t option;
   mutable armed : tear option;
-  mutable torn_meta : string option;
+  mutable torn_meta : slot option;
   mutable last_scrub : scrub_report option;
   counters : counters;
 }
@@ -95,9 +100,13 @@ let encode_intention intent =
         B.raw_string w (Block.to_string data);
         B.varint w prev_version;
         B.raw_string w (Block.to_string prev_data)
-    | Meta { key; value; prev } -> (
+    | Meta { slot; value; prev } -> (
         B.u8 w 2;
-        B.string w key;
+        (match slot with
+        | W -> B.u8 w 0
+        | Group b ->
+            B.u8 w 1;
+            B.varint w b);
         put_int_list w value;
         match prev with
         | None -> B.u8 w 0
@@ -147,7 +156,12 @@ let decode_journal j =
               let prev_data = Block.of_string (B.r_raw_string r Block.size) in
               Some (Data { block; version; data; prev_version; prev_data })
           | 2 ->
-              let key = B.r_string r in
+              let slot =
+                match B.r_u8 r with
+                | 0 -> W
+                | 1 -> Group (B.r_varint r)
+                | _ -> raise (B.Bad "bad metadata slot")
+              in
               let value = get_int_list r in
               let prev =
                 match B.r_u8 r with
@@ -155,7 +169,7 @@ let decode_journal j =
                 | 1 -> Some (get_int_list r)
                 | _ -> raise (B.Bad "bad option byte")
               in
-              Some (Meta { key; value; prev })
+              Some (Meta { slot; value; prev })
           | _ -> None)
         with
         | Some intent when B.at_end r ->
@@ -169,8 +183,8 @@ let create ~capacity =
   {
     store;
     bf = Store.block_file store;
-    meta = Hashtbl.create 7;
-    meta_defaults = Hashtbl.create 7;
+    w = None;
+    groups = Int_map.empty;
     journal = None;
     armed = None;
     torn_meta = None;
@@ -249,17 +263,21 @@ let apply_updates t updates =
 let verified_blocks_newer_than t v =
   List.filter (fun (k, _, _) -> checksum_ok t k) (Store.blocks_newer_than t.store v)
 
-let set_meta t key value =
-  let j = encode_intention (Meta { key; value; prev = Hashtbl.find_opt t.meta key }) in
+let record t = function W -> t.w | Group b -> Int_map.find_opt b t.groups
+
+let put_record t slot v =
+  match slot with W -> t.w <- v | Group b -> t.groups <- Int_map.update b (fun _ -> v) t.groups
+
+let set_record t slot value =
+  let j = encode_intention (Meta { slot; value; prev = record t slot }) in
   t.journal <- Some j;
   commit_journal t j;
-  Hashtbl.replace t.meta key value
+  put_record t slot (Some value)
 
-let get_meta t key = Hashtbl.find_opt t.meta key
-
-let set_meta_default t key value =
-  Hashtbl.replace t.meta_defaults key value;
-  if not (Hashtbl.mem t.meta key) then Hashtbl.replace t.meta key value
+let w t = t.w
+let set_w t value = set_record t W value
+let group t b = record t (Group b)
+let set_group t b value = set_record t (Group b) value
 
 (* Deterministic in-place scramble of the stored image bytes of block
    [k].  The version metadata is left intact — sector decay and torn
@@ -300,8 +318,8 @@ let crash t =
              pre-image bytes under an intact version number. *)
           tear_apply t block version prev_data;
           t.counters.torn_writes <- t.counters.torn_writes + 1
-      | Some (Meta { key; _ }, true) ->
-          t.torn_meta <- Some key;
+      | Some (Meta { slot; _ }, true) ->
+          t.torn_meta <- Some slot;
           t.counters.torn_writes <- t.counters.torn_writes + 1
       | _ -> ())
   | Some Torn_journal, Some j -> (
@@ -316,10 +334,8 @@ let crash t =
           Block_file.seal t.bf block;
           t.journal <- Some (tear_journal_bytes j);
           t.counters.torn_writes <- t.counters.torn_writes + 1
-      | Some (Meta { key; prev; _ }, _) ->
-          (match prev with
-          | Some v -> Hashtbl.replace t.meta key v
-          | None -> Hashtbl.remove t.meta key);
+      | Some (Meta { slot; prev; _ }, _) ->
+          put_record t slot prev;
           t.journal <- Some (tear_journal_bytes j);
           t.counters.torn_writes <- t.counters.torn_writes + 1
       | None -> ())
@@ -344,17 +360,13 @@ let scrub t =
       | Some _ -> ())
   | None -> ());
   t.journal <- None;
-  let meta_reset =
-    match t.torn_meta with
-    | Some key ->
-        (match Hashtbl.find_opt t.meta_defaults key with
-        | Some d -> Hashtbl.replace t.meta key d
-        | None -> Hashtbl.remove t.meta key);
-        t.torn_meta <- None;
-        t.counters.scrub_meta_reset <- t.counters.scrub_meta_reset + 1;
-        [ key ]
-    | None -> []
-  in
+  let meta_reset = t.torn_meta in
+  t.torn_meta <- None;
+  Option.iter
+    (fun slot ->
+      put_record t slot None;
+      t.counters.scrub_meta_reset <- t.counters.scrub_meta_reset + 1)
+    meta_reset;
   let quarantined = ref 0 in
   for k = 0 to capacity t - 1 do
     if not (checksum_ok t k) then incr quarantined
@@ -370,10 +382,8 @@ let scrub t =
 
 let replace_disk t =
   Block_file.reset t.bf;
-  Hashtbl.reset t.meta;
-  (Hashtbl.iter (fun k v -> Hashtbl.replace t.meta k v) t.meta_defaults
-  [@lint.allow "hashtbl-order"
-    "copies bindings between tables keyed on the same distinct keys; replace is idempotent per key, so order cannot matter"]);
+  t.w <- None;
+  t.groups <- Int_map.empty;
   t.journal <- None;
   t.armed <- None;
   t.torn_meta <- None;

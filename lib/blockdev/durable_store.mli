@@ -14,10 +14,11 @@
       crash tears at most one phase and the recovery {!scrub} — by
       actually decoding the record — either replays a committed
       intention or discards an unreadable/uncommitted one;
-    - {b journaled metadata} ([set_meta]) for the crash-critical protocol
-      state that nominally "lives on disk" — was-available sets, dynamic
-      voting groups — with registered defaults to fall back to when a torn
-      metadata write is discovered;
+    - {b journaled metadata records} for the crash-critical protocol state
+      that nominally "lives on disk": one was-available set W per site
+      ({!set_w}) and one last-update group per block ({!set_group}).  An
+      absent record means "every site", the conservative value a torn
+      record write or a disk replacement falls back to;
     - {b seeded fault hooks}: torn writes armed at crash boundaries
       ({!arm_torn_write} + {!crash}), latent sector errors
       ({!inject_bitrot}), and whole-disk replacement ({!replace_disk},
@@ -75,11 +76,15 @@ val zero_counters : unit -> counters
 val accumulate_counters : counters -> counters -> unit
 (** [accumulate_counters acc c] adds [c] into [acc] (cluster totals). *)
 
+(** A metadata record: the site's was-available set, or one block's
+    last-update group. *)
+type slot = W | Group of Block.id
+
 type scrub_report = {
   replayed : int;  (** committed intentions whose torn apply was redone *)
   discarded : int;  (** uncommitted intentions dropped *)
   quarantined : int;  (** checksum-invalid blocks awaiting peer repair *)
-  meta_reset : string list;  (** metadata keys reset to their defaults *)
+  meta_reset : slot option;  (** the torn metadata record reset to absent *)
 }
 
 val create : capacity:int -> t
@@ -121,18 +126,26 @@ val verified_blocks_newer_than : t -> Version_vector.t -> (Block.id * int * Bloc
 (** {!Store.blocks_newer_than} restricted to checksum-valid blocks: a
     transfer never ships quarantined bytes to a peer. *)
 
-(** {1 Journaled metadata} *)
+(** {1 Journaled metadata}
 
-val set_meta : t -> string -> int list -> unit
-(** Durably record a metadata value through the same intention journal as
-    block writes (so a crash can tear it, and the scrub can tell). *)
+    Each record holds a set of site ids.  [None] means the record is
+    absent, which the protocols read as "every site": that is the value of
+    a fresh disk, of a record whose last write tore (see {!scrub}), and of
+    a replaced disk.  A too-large set only makes a protocol more cautious
+    (AC waits for a larger closure, dynamic voting needs a larger
+    majority), never less safe.  Setters write through the same intention
+    journal as block writes, so a crash can tear them and the scrub can
+    tell. *)
 
-val get_meta : t -> string -> int list option
+val w : t -> int list option
+(** The site's was-available set. *)
 
-val set_meta_default : t -> string -> int list -> unit
-(** Register the conservative fallback for a key — what the scrub restores
-    when the key's last write was torn, and what {!replace_disk} installs.
-    Also initialises the key if unset (without journaling). *)
+val set_w : t -> int list -> unit
+
+val group : t -> Block.id -> int list option
+(** The last-update group recorded for a block. *)
+
+val set_group : t -> Block.id -> int list -> unit
 
 (** {1 Faults} *)
 
@@ -155,15 +168,15 @@ val inject_bitrot : t -> Block.id -> unit
 
 val replace_disk : t -> unit
 (** The medium was swapped: every block returns to verified (zero,
-    version 0) and all metadata falls back to its registered defaults —
-    the blank-disk / fresh-replica regeneration case. *)
+    version 0) and every metadata record to absent — the blank-disk /
+    fresh-replica regeneration case. *)
 
 (** {1 Recovery} *)
 
 val scrub : t -> scrub_report
 (** Recovery-time integrity pass, run before a repaired site rejoins:
     replay a committed-but-torn intention, discard an uncommitted one,
-    reset torn metadata keys to their defaults, and count the quarantined
+    reset a torn metadata record to absent, and count the quarantined
     blocks left for peer transfer to heal. *)
 
 val last_scrub : t -> scrub_report option

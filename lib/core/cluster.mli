@@ -229,7 +229,7 @@ val inject_bitrot : t -> site:int -> block:Blockdev.Block.id -> unit
 
 val replace_disk : t -> int -> unit
 (** Swap site [i]'s medium: the site is failed (if up) and its disk reset
-    to blank — zeroed blocks at version 0, metadata at defaults.  A later
+    to blank — zeroed blocks at version 0, no metadata records.  A later
     {!repair_site} regenerates the replica through the ordinary recovery
     exchange (the paper's fresh-replica case). *)
 

@@ -17,11 +17,17 @@ type t = {
   quarantine : Net.Network.quarantine;
 }
 
+(* Per-site state grows with the square of the site count (peer caches,
+   the breaker matrix); a count far past this cannot run, and a huge one
+   would make [Quorum.majority] raise or exhaust memory. *)
+let max_sites = 1024
+
 let make ~scheme ~n_sites ?(n_blocks = 64) ?(net_mode = Net.Network.Multicast)
     ?(latency = Util.Dist.Constant 0.5) ?op_timeout ?quorum ?(witnesses = []) ?(track_liveness = false)
     ?(seed = 42) ?(fault_profile = Net.Faults.pristine) ?service ?(robustness = Robustness.off) ?sync_profile
     ?(encoded_delivery = false) ?(quarantine = Net.Network.default_quarantine) () =
   if n_sites < 1 then Error "need at least one site"
+  else if n_sites > max_sites then Error (Printf.sprintf "at most %d sites" max_sites)
   else if n_blocks < 1 then Error "need at least one block"
   else begin
     match Util.Dist.validate latency with

@@ -74,11 +74,11 @@ val make :
   ?quarantine:Net.Network.quarantine ->
   unit ->
   (t, string) result
-(** Defaults: 64 blocks, multicast, constant latency 0.5 time units,
-    timeout 8 latencies, majority quorum, no witnesses,
-    [track_liveness = false], seed 42, pristine fault profile, no service
-    model, robustness off, no sync-write cost, in-heap delivery with the
-    default quarantine policy. *)
+(** [n_sites] must be in 1..1024.  Defaults: 64 blocks, multicast,
+    constant latency 0.5 time units, timeout 8 latencies, majority
+    quorum, no witnesses, [track_liveness = false], seed 42, pristine
+    fault profile, no service model, robustness off, no sync-write cost,
+    in-heap delivery with the default quarantine policy. *)
 
 val make_exn :
   scheme:Types.scheme ->

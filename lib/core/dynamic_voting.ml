@@ -2,27 +2,28 @@ module Int_set = Types.Int_set
 module Store = Blockdev.Store
 module Durable = Blockdev.Durable_store
 
-type t = {
-  rt : Runtime.t;
-  (* groups.(site).(block): the last update group this site knows for the
-     block.  The in-memory mirror of a journaled on-disk record (one
-     metadata key per block): like the version numbers it survives site
-     failures, and unlike them a torn write of it is caught by the scrub
-     and reset to the conservative full-set default — a too-large
-     cardinality only makes quorum tests stricter.  Votes carry only the
-     cardinality (all the quorum test needs); the membership itself
-     drives the availability predicate. *)
-  groups : Types.Int_set.t array array;
-}
+(* The last update group a site knows for a block lives only on its disk,
+   as the store's journaled group record: like the version numbers it
+   survives site failures, and unlike them a torn write of it is caught by
+   the scrub and reset to absent, which reads as the full site set — a
+   too-large cardinality only makes quorum tests stricter.  Votes carry
+   only the cardinality (all the quorum test needs); the membership itself
+   drives the availability predicate. *)
+type t = { rt : Runtime.t }
 
-let group_of t site block = Int_set.cardinal t.groups.(site).(block)
+let group_record rt site block = Durable.group (Runtime.site rt site).Runtime.durable block
 
-let group_key block = Printf.sprintf "group%d" block
+let group_size rt = function Some ids -> List.length ids | None -> Runtime.n_sites rt
+let group_of rt site block = group_size rt (group_record rt site block)
 
 let set_group t site block g =
-  t.groups.(site).(block) <- g;
-  Durable.set_meta (Runtime.site t.rt site).Runtime.durable (group_key block)
-    (Int_set.elements g)
+  Durable.set_group (Runtime.site t.rt site).Runtime.durable block (Int_set.elements g)
+
+(* The install guard shared by pushed updates and pulled copies: strictly
+   newer data, or data at a quarantined copy's version floor. *)
+let accepts (s : Runtime.site) block version =
+  let stored = Store.version s.Runtime.store block in
+  version > stored || ((not (Durable.checksum_ok s.Runtime.durable block)) && version >= stored)
 
 (* A vote: (site, version, recorded group size). *)
 let vote_of_reply block = function
@@ -33,7 +34,7 @@ let vote_of_reply block = function
 (* Votes carry the effective version: a quarantined copy claims 0. *)
 let local_vote t site block =
   let s = Runtime.site t.rt site in
-  (site, Durable.effective_version s.Runtime.durable block, Int_set.cardinal t.groups.(site).(block))
+  (site, Durable.effective_version s.Runtime.durable block, group_of t.rt site block)
 
 let coordinator_alive t site = (Runtime.site t.rt site).Runtime.state = Types.Available
 
@@ -81,11 +82,7 @@ let collect_votes ?deadline t ~site ~block ~purpose ~k =
 
 let apply_update t site block data ~version ~group =
   let s = Runtime.site t.rt site in
-  if
-    version > Store.version s.Runtime.store block
-    || ((not (Durable.checksum_ok s.Runtime.durable block))
-       && version >= Store.version s.Runtime.store block)
-  then begin
+  if accepts s block version then begin
     Durable.write s.Runtime.durable block data ~version;
     set_group t site block group
   end
@@ -177,11 +174,8 @@ let read_attempt t ?deadline ~site ~block callback =
                                unsafe.  A transfer below the voted version
                                (the holder's copy rotted in between) is
                                rejected above, like a timeout. *)
-                            if
-                              version > Store.version s.Runtime.store block
-                              || ((not (Durable.checksum_ok s.Runtime.durable block))
-                                 && version >= Store.version s.Runtime.store block)
-                            then Durable.write s.Runtime.durable block data ~version;
+                            if accepts s block version then
+                              Durable.write s.Runtime.durable block data ~version;
                             callback (Ok (data, version))
                         | (Runtime.Complete | Runtime.Timeout), Some _
                         | _, None
@@ -261,7 +255,7 @@ let handle t (s : Runtime.site) ~from msg =
              block;
              version = Durable.effective_version s.Runtime.durable block;
              weight = 1;
-             group_size = Int_set.cardinal t.groups.(s.Runtime.id).(block);
+             group_size = group_of t.rt s.Runtime.id block;
            })
   | Wire.Block_update { rid; block; version; data; carried_w } ->
       (* Only named group members may adopt the write: an unlisted site
@@ -302,38 +296,12 @@ let handle t (s : Runtime.site) ~from msg =
       ()
 
 let create rt =
-  let config = Runtime.config rt in
-  let everyone = Int_set.of_list (List.init config.Config.n_sites Fun.id) in
-  let t =
-    {
-      rt;
-      groups = Array.init config.Config.n_sites (fun _ -> Array.make config.Config.n_blocks everyone);
-    }
-  in
-  (* Register the conservative on-disk default for every group record, the
-     value a scrub (torn metadata) or disk replacement falls back to. *)
-  Array.iter
-    (fun (s : Runtime.site) ->
-      for b = 0 to config.Config.n_blocks - 1 do
-        Durable.set_meta_default s.Runtime.durable (group_key b) (Int_set.elements everyone)
-      done)
-    (Runtime.sites rt);
+  let t = { rt } in
   Runtime.set_dispatch rt (fun s ~from msg -> handle t s ~from msg);
   t
 
 let on_repair t site =
   Runtime.repair_site t.rt site (fun (s : Runtime.site) ->
-      (* Reload the in-memory group mirror from disk: the scrub may have
-         reset a torn record to its full-set default, and a replaced disk
-         comes back with defaults everywhere. *)
-      let everyone = Int_set.of_list (List.init (Runtime.n_sites t.rt) Fun.id) in
-      Array.iteri
-        (fun block _ ->
-          t.groups.(site).(block) <-
-            (match Durable.get_meta s.Runtime.durable (group_key block) with
-            | Some ids -> Int_set.of_list ids
-            | None -> everyone))
-        t.groups.(site);
       Runtime.set_state t.rt s.Runtime.id Types.Available)
 
 (* Post-quiescence availability: once in-flight updates land, every up
@@ -348,6 +316,8 @@ let service_available t =
   (* versions.(i): site i's effective version of the block under test,
      read once per block (each read is a CRC over the resident copy). *)
   let versions = Array.make (Array.length sites) 0 in
+  let count_up n i = if sites.(i).Runtime.state = Types.Available then n + 1 else n in
+  let all_up = List.fold_left count_up 0 (List.init (Array.length sites) Fun.id) in
   let ok = ref true and block = ref 0 in
   while !ok && !block < config.Config.n_blocks do
     let top_version = ref 0 in
@@ -357,22 +327,20 @@ let service_available t =
         versions.(i) <- v;
         top_version := Int.max !top_version v)
       sites;
-    let group = ref Int_set.empty and group_size = ref max_int in
+    let group = ref None and size = ref max_int in
     Array.iteri
       (fun i v ->
         if v = !top_version then begin
-          let g = t.groups.(i).(!block) in
-          let size = Int_set.cardinal g in
-          if size < !group_size then begin
+          let g = group_record rt i !block in
+          let n = group_size rt g in
+          if n < !size then begin
             group := g;
-            group_size := size
+            size := n
           end
         end)
       versions;
-    let members_up =
-      Int_set.fold (fun i n -> if sites.(i).Runtime.state = Types.Available then n + 1 else n) !group 0
-    in
-    ok := 2 * members_up > !group_size;
+    let members_up = match !group with Some ids -> List.fold_left count_up 0 ids | None -> all_up in
+    ok := 2 * members_up > !size;
     incr block
   done;
   !ok

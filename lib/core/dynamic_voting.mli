@@ -27,7 +27,8 @@ type t
 
 val create : Runtime.t -> t
 (** Installs the protocol's message handler.  Every block's initial group
-    is the full site set (everyone holds version 0). *)
+    is the full site set (everyone holds version 0), which is what an
+    absent group record on disk means, so nothing is written per block. *)
 
 val read :
   t -> ?deadline:float -> site:int -> block:Blockdev.Block.id -> (Types.read_result -> unit) -> unit
@@ -52,9 +53,12 @@ val write :
 val on_repair : t -> int -> unit
 (** No recovery: the site becomes available immediately. *)
 
-val group_of : t -> int -> Blockdev.Block.id -> int
-(** [group_of t site block]: the last-update-group cardinality site
-    [site] records for [block] (for tests and monitoring). *)
+val group_of : Runtime.t -> int -> Blockdev.Block.id -> int
+(** [group_of rt site block]: the last-update-group cardinality that site
+    [site]'s disk records for [block] (for tests and monitoring).  The
+    record lives only on disk, so the runtime suffices; an absent record
+    (never written, reset by the scrub after a tear, or on a replaced
+    disk) counts as every site. *)
 
 val service_available : t -> bool
 (** The monitor predicate: for {e every} block, the up sites holding its

@@ -7,15 +7,17 @@ type site = {
   store : Blockdev.Store.t;
   mutable state : Types.site_state;
   mutable w : Types.Int_set.t;
+      (* The was-available set, read on every copy-protocol message.  Each
+         change is journaled to the disk's W record ({!set_w}), which
+         [repair_site] reloads. *)
   cache : Wire.site_info option array;
   mutable repairing : bool;
 }
 
-(* Journaled-metadata key under which a site's was-available set lives on
-   disk; its registered default (everyone) is the conservative fallback a
-   scrub restores after a torn metadata write — a too-large W only widens
-   the closure a recovery waits for, never fabricates availability. *)
-let w_meta_key = "w"
+(* The conservative W: what a site starts with and what an absent W
+   record on disk means.  A too-large W only widens the closure a recovery
+   waits for, never fabricates availability. *)
+let everyone (config : Config.t) = Int_set.of_list (List.init config.n_sites Fun.id)
 
 type outcome = Complete | Timeout | Aborted
 
@@ -90,8 +92,6 @@ let create (config : Config.t) =
   | _ -> ());
   let make_site id =
     let durable = Blockdev.Durable_store.create ~capacity:config.n_blocks in
-    let everyone = List.init config.n_sites Fun.id in
-    Blockdev.Durable_store.set_meta_default durable w_meta_key everyone;
     {
       id;
       durable;
@@ -99,7 +99,7 @@ let create (config : Config.t) =
       state = Types.Available;
       (* Everyone holds version 0 of every block, so initially every site
          "received the most recent write". *)
-      w = Int_set.of_list everyone;
+      w = everyone config;
       cache = Array.make config.n_sites None;
       repairing = false;
     }
@@ -259,7 +259,7 @@ let abort_rounds_of t coordinator =
 let set_w t i w =
   let s = site t i in
   s.w <- w;
-  Blockdev.Durable_store.set_meta s.durable w_meta_key (Int_set.elements w)
+  Blockdev.Durable_store.set_w s.durable (Int_set.elements w)
 
 let fail_site t i =
   let s = site t i in
@@ -276,11 +276,13 @@ let repair_site t i on_repair =
   let s = site t i in
   if s.state = Types.Failed then begin
     (* Power back on: integrity pass over the journal before the protocol
-       sees the disk, then reload the disk-resident metadata mirror. *)
+       sees the disk, then reload W from it (absent: fresh, replaced, or
+       reset by the scrub after a tear). *)
     ignore (Blockdev.Durable_store.scrub s.durable : Blockdev.Durable_store.scrub_report);
-    (match Blockdev.Durable_store.get_meta s.durable w_meta_key with
-    | Some ids -> s.w <- Int_set.of_list ids
-    | None -> ());
+    s.w <-
+      (match Blockdev.Durable_store.w s.durable with
+      | Some ids -> Int_set.of_list ids
+      | None -> everyone t.config);
     Transport.set_up t.net i true;
     on_repair s
   end

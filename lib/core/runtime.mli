@@ -114,8 +114,8 @@ val round_active : t -> int -> bool
 (** {1 Failure injection} *)
 
 val set_w : t -> int -> Types.Int_set.t -> unit
-(** Update a site's was-available set, both the in-memory mirror and the
-    journaled on-disk copy (so a crash between a commit and this metadata
+(** Update a site's was-available set, both in memory and in the disk's
+    journaled W record (so a crash between a commit and this metadata
     write is caught by the scrub, not silently survived). *)
 
 val fail_site : t -> int -> unit
@@ -129,9 +129,10 @@ val fail_site : t -> int -> unit
 val repair_site : t -> int -> (site -> unit) -> unit
 (** Bring a failed site back up: run the durable store's recovery scrub
     (replay/discard torn intentions, count quarantined blocks), reload the
-    was-available set from disk, then run the protocol's [on_repair] hook
-    (which decides whether the site becomes comatose or immediately
-    available).  No-op when the site is not failed. *)
+    was-available set from disk (an absent W record means every site),
+    then run the protocol's [on_repair] hook (which decides whether the
+    site becomes comatose or immediately available).  No-op when the site
+    is not failed. *)
 
 (** {1 Messaging shortcuts} *)
 

@@ -153,36 +153,64 @@ let test_scrub_counts_quarantined () =
 (* Journaled metadata                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [None] is an absent record, which the protocols read as every site. *)
+let records = Alcotest.(option (list int))
+
+let slot =
+  Alcotest.testable
+    (fun ppf -> function
+      | Durable.W -> Format.pp_print_string ppf "W"
+      | Durable.Group b -> Format.fprintf ppf "Group %d" b)
+    ( = )
+
 let test_meta_roundtrip () =
   let d = Durable.create ~capacity:2 in
-  Alcotest.(check (option (list int))) "unset key" None (Durable.get_meta d "w");
-  Durable.set_meta_default d "w" [ 0; 1; 2 ];
-  Alcotest.(check (option (list int))) "default installs" (Some [ 0; 1; 2 ]) (Durable.get_meta d "w");
-  Durable.set_meta d "w" [ 1 ];
-  Alcotest.(check (option (list int))) "update sticks" (Some [ 1 ]) (Durable.get_meta d "w")
+  Alcotest.check records "fresh W absent" None (Durable.w d);
+  Alcotest.check records "fresh group absent" None (Durable.group d 1);
+  Durable.set_w d [ 1 ];
+  Alcotest.check records "update sticks" (Some [ 1 ]) (Durable.w d);
+  Durable.set_group d 1 [ 0; 2 ];
+  Alcotest.check records "group sticks" (Some [ 0; 2 ]) (Durable.group d 1);
+  Alcotest.check records "other block untouched" None (Durable.group d 0);
+  Alcotest.check records "W untouched by a group write" (Some [ 1 ]) (Durable.w d)
 
 let test_torn_meta_reset_to_default () =
   let d = Durable.create ~capacity:2 in
-  Durable.set_meta_default d "w" [ 0; 1; 2 ];
-  Durable.set_meta d "w" [ 1 ];
+  Durable.set_w d [ 1 ];
+  Durable.set_group d 0 [ 0; 1 ];
+  Durable.set_group d 1 [ 2 ];
   Durable.arm_torn_write d;
   Durable.crash d;
   let report = Durable.scrub d in
-  Alcotest.(check (list string)) "torn key reported" [ "w" ] report.Durable.meta_reset;
-  Alcotest.(check (option (list int)))
-    "conservative default restored" (Some [ 0; 1; 2 ]) (Durable.get_meta d "w")
+  Alcotest.(check (option slot)) "torn record reported" (Some (Durable.Group 1))
+    report.Durable.meta_reset;
+  Alcotest.check records "reset to absent: every site" None (Durable.group d 1);
+  Alcotest.check records "earlier group kept" (Some [ 0; 1 ]) (Durable.group d 0);
+  Alcotest.check records "W kept" (Some [ 1 ]) (Durable.w d);
+  Durable.set_w d [ 0 ];
+  Durable.arm_torn_write d;
+  Durable.crash d;
+  let report = Durable.scrub d in
+  Alcotest.(check (option slot)) "torn W reported" (Some Durable.W) report.Durable.meta_reset;
+  Alcotest.check records "W reset to absent" None (Durable.w d);
+  Alcotest.(check int) "counted" 2 (Durable.counters d).Durable.scrub_meta_reset
 
 let test_torn_meta_journal_restores_previous () =
   let d = Durable.create ~capacity:2 in
-  Durable.set_meta_default d "g" [ 9 ];
-  Durable.set_meta d "g" [ 1; 2 ];
-  Durable.set_meta d "g" [ 3 ];
+  Durable.set_group d 1 [ 1; 2 ];
+  Durable.set_group d 1 [ 3 ];
   Durable.arm_torn_write ~mode:Durable.Torn_journal d;
   Durable.crash d;
   (* The append tore: the write never became durable, previous value back. *)
-  Alcotest.(check (option (list int))) "previous value" (Some [ 1; 2 ]) (Durable.get_meta d "g");
+  Alcotest.check records "previous value" (Some [ 1; 2 ]) (Durable.group d 1);
   let report = Durable.scrub d in
-  Alcotest.(check int) "discarded" 1 report.Durable.discarded
+  Alcotest.(check int) "discarded" 1 report.Durable.discarded;
+  Alcotest.(check (option slot)) "nothing reset" None report.Durable.meta_reset;
+  (* A torn first write restores absence. *)
+  Durable.set_w d [ 4 ];
+  Durable.arm_torn_write ~mode:Durable.Torn_journal d;
+  Durable.crash d;
+  Alcotest.check records "first W write undone" None (Durable.w d)
 
 (* ------------------------------------------------------------------ *)
 (* Disk replacement and re-blessing                                    *)
@@ -190,8 +218,8 @@ let test_torn_meta_journal_restores_previous () =
 
 let test_replace_disk () =
   let d = Durable.create ~capacity:4 in
-  Durable.set_meta_default d "w" [ 0; 1 ];
-  Durable.set_meta d "w" [ 0 ];
+  Durable.set_w d [ 0 ];
+  Durable.set_group d 3 [ 0; 1 ];
   Durable.write d 2 (block "doomed") ~version:7;
   Durable.inject_bitrot d 2;
   Durable.replace_disk d;
@@ -199,8 +227,8 @@ let test_replace_disk () =
   Alcotest.(check int) "version reset" 0 (Durable.effective_version d 2);
   Alcotest.(check bool) "contents zeroed" true
     (Block.equal (Store.read (Durable.store d) 2) Block.zero);
-  Alcotest.(check (option (list int))) "meta back to default" (Some [ 0; 1 ])
-    (Durable.get_meta d "w");
+  Alcotest.check records "W back to absent" None (Durable.w d);
+  Alcotest.check records "group back to absent" None (Durable.group d 3);
   Alcotest.(check int) "counted" 1 (Durable.counters d).Durable.disk_replacements
 
 let test_counter_accumulation () =
@@ -249,6 +277,110 @@ let prop_scrub_restores_old_or_new =
       | Some (b, 2) -> Block.equal b (block new_s)
       | _ -> false)
 
+(* Metadata records against a reference model: an assoc list of the
+   records present, plus what the journal's single slot holds (which is
+   all a crash can tear) and the record a torn apply left for the scrub. *)
+type op =
+  | Set_w of int list
+  | Set_group of int * int list
+  | Write of int
+  | Crash of Durable.tear option
+  | Scrub
+  | Replace
+
+type journal = Empty | Meta_rec of Durable.slot * int list option | Data_rec | Unreadable
+
+let model_blocks = 4
+
+let op_gen =
+  let open QCheck.Gen in
+  let ids = list_size (int_range 0 3) (int_range 0 6) in
+  frequency
+    [
+      (3, map (fun l -> Set_w l) ids);
+      (4, map2 (fun b l -> Set_group (b, l)) (int_range 0 (model_blocks - 1)) ids);
+      (2, map (fun b -> Write b) (int_range 0 (model_blocks - 1)));
+      ( 3,
+        map (fun m -> Crash m)
+          (oneofl [ None; Some Durable.Torn_apply; Some Durable.Torn_journal ]) );
+      (2, return Scrub);
+      (1, return Replace);
+    ]
+
+let show_op = function
+  | Set_w l -> Printf.sprintf "set_w [%s]" (String.concat ";" (List.map string_of_int l))
+  | Set_group (b, l) ->
+      Printf.sprintf "set_group %d [%s]" b (String.concat ";" (List.map string_of_int l))
+  | Write b -> Printf.sprintf "write %d" b
+  | Crash None -> "crash"
+  | Crash (Some Durable.Torn_apply) -> "crash torn-apply"
+  | Crash (Some Durable.Torn_journal) -> "crash torn-journal"
+  | Scrub -> "scrub"
+  | Replace -> "replace_disk"
+
+let prop_meta_model =
+  QCheck.Test.make ~name:"metadata records follow an assoc-list model" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) op_gen))
+    (fun ops ->
+      let d = Durable.create ~capacity:model_blocks in
+      let recs = ref [] and journal = ref Empty and torn = ref None and version = ref 0 in
+      let set slot = function
+        | Some v -> recs := (slot, v) :: List.remove_assoc slot !recs
+        | None -> recs := List.remove_assoc slot !recs
+      in
+      let agrees () =
+        Durable.w d = List.assoc_opt Durable.W !recs
+        && List.for_all
+             (fun b -> Durable.group d b = List.assoc_opt (Durable.Group b) !recs)
+             (List.init model_blocks Fun.id)
+      in
+      List.for_all
+        (fun op ->
+          let report_ok =
+            match op with
+            | Set_w v ->
+                journal := Meta_rec (Durable.W, List.assoc_opt Durable.W !recs);
+                set Durable.W (Some v);
+                Durable.set_w d v;
+                true
+            | Set_group (b, v) ->
+                journal := Meta_rec (Durable.Group b, List.assoc_opt (Durable.Group b) !recs);
+                set (Durable.Group b) (Some v);
+                Durable.set_group d b v;
+                true
+            | Write b ->
+                incr version;
+                journal := Data_rec;
+                Durable.write d b (block (string_of_int !version)) ~version:!version;
+                true
+            | Crash mode ->
+                (match (mode, !journal) with
+                | Some Durable.Torn_apply, Meta_rec (slot, _) -> torn := Some slot
+                | Some Durable.Torn_journal, Meta_rec (slot, prev) ->
+                    set slot prev;
+                    journal := Unreadable
+                | Some Durable.Torn_journal, Data_rec -> journal := Unreadable
+                | _ -> ());
+                Option.iter (fun mode -> Durable.arm_torn_write ~mode d) mode;
+                Durable.crash d;
+                true
+            | Scrub ->
+                let want = !torn in
+                Option.iter (fun slot -> set slot None) want;
+                torn := None;
+                journal := Empty;
+                (Durable.scrub d).Durable.meta_reset = want
+            | Replace ->
+                recs := [];
+                torn := None;
+                journal := Empty;
+                Durable.replace_disk d;
+                true
+          in
+          report_ok && agrees ())
+        ops)
+
 let () =
   Alcotest.run "durable"
     [
@@ -279,6 +411,7 @@ let () =
           Alcotest.test_case "torn apply resets to default" `Quick test_torn_meta_reset_to_default;
           Alcotest.test_case "torn journal restores previous" `Quick
             test_torn_meta_journal_restores_previous;
+          QCheck_alcotest.to_alcotest prop_meta_model;
         ] );
       ( "replacement",
         [

@@ -20,6 +20,10 @@ let read_ok c ~site ~block =
   | Ok (b, v) -> (Block.to_string b, v)
   | Error e -> Alcotest.failf "read failed: %s" (Types.failure_reason_to_string e)
 
+(* Block 0's group cardinality as [site]'s disk records it; an absent
+   record (fresh, scrubbed or replaced disk) counts as the full site set. *)
+let group_of c site = Blockrep.Dynamic_voting.group_of (Cluster.runtime c) site 0
+
 let settle c = Cluster.run_until c (Sim.Engine.now (Cluster.engine c) +. 30.0)
 
 let test_roundtrip () =
@@ -195,11 +199,7 @@ let test_group_accessor () =
   Cluster.fail_site c 4;
   ignore (write_ok c ~site:0 ~block:0 "g2");
   settle c;
-  (* White-box: reach the protocol through a fresh read; the recorded
-     group cardinality at the coordinator should now be 4. *)
-  let rt = Cluster.runtime c in
-  ignore rt;
-  (* site_versions suffices to check the adoption effect instead. *)
+  Alcotest.(check int) "coordinator records a group of 4" 4 (group_of c 0);
   Alcotest.(check int) "writer at v2" 2 (Blockdev.Version_vector.get (Cluster.site_versions c 0) 0);
   Alcotest.(check int) "down site missed it" 1
     (Blockdev.Version_vector.get (Cluster.site_versions c 4) 0)
@@ -255,6 +255,61 @@ let test_predicate_last_block_decides () =
   settle c;
   check_available c "3 of 5 up again" true
 
+let test_replaced_member_reads_full_group () =
+  let c = make ~blocks:2 () in
+  check_available c "fresh" true;
+  ignore (write_ok c ~site:0 ~block:0 "v1");
+  settle c;
+  Cluster.fail_site c 4;
+  check_available c "4 of 5 up" true;
+  ignore (write_ok c ~site:0 ~block:0 "v2");
+  settle c;
+  Alcotest.(check (list int)) "write with site 4 down records a group of 4" [ 4; 4; 4; 4 ]
+    (List.map (fun site -> group_of c site) [ 0; 1; 2; 3 ]);
+  Alcotest.(check int) "the down site keeps the old group" 5 (group_of c 4);
+  Cluster.replace_disk c 1;
+  check_available c "3 of group {0,1,2,3} up" true;
+  Cluster.repair_site c 1;
+  Alcotest.(check int) "blank disk: full group" 5 (group_of c 1);
+  Alcotest.(check int) "blank disk: version 0" 0 (Cluster.effective_version c ~site:1 ~block:0);
+  check_available c "member back" true;
+  Cluster.fail_site c 0;
+  check_available c "3 of group {0,1,2,3} up" true;
+  Cluster.fail_site c 2;
+  check_available c "2 of group {0,1,2,3} up" false;
+  Cluster.repair_site c 0;
+  Cluster.repair_site c 2;
+  settle c;
+  ignore (write_ok c ~site:1 ~block:0 "v3");
+  settle c;
+  Alcotest.(check int) "a write re-adopts the replaced member" 4 (group_of c 1);
+  Alcotest.(check int) "other blocks untouched" 5
+    (Blockrep.Dynamic_voting.group_of (Cluster.runtime c) 1 1);
+  check_available c "end" true
+
+let test_torn_group_record_resets () =
+  let c = make () in
+  ignore (write_ok c ~site:0 ~block:0 "v1");
+  settle c;
+  Cluster.fail_site c 4;
+  ignore (write_ok c ~site:0 ~block:0 "v2");
+  settle c;
+  Alcotest.(check int) "group of 4 recorded" 4 (group_of c 1);
+  (* Site 1's last journal entry is the group record that followed the
+     block write: the torn apply hits the record, not the block. *)
+  Cluster.arm_torn_write c 1;
+  Cluster.fail_site c 1;
+  check_available c "3 of group {0,1,2,3} up" true;
+  Cluster.repair_site c 1;
+  Alcotest.(check int) "scrub reset one record" 1
+    (Cluster.storage_counters c).Blockdev.Durable_store.scrub_meta_reset;
+  Alcotest.(check int) "torn record reads as the full group" 5 (group_of c 1);
+  Alcotest.(check int) "the block write survived" 2 (Cluster.effective_version c ~site:1 ~block:0);
+  Alcotest.(check int) "the coordinator keeps its record" 4 (group_of c 0);
+  check_available c "after repair" true;
+  let _, v = read_ok c ~site:1 ~block:0 in
+  Alcotest.(check int) "reads still see v2" 2 v
+
 let test_oracle_under_churn () =
   (* The cross-scheme oracle: successful reads always return the latest
      successfully written value, under random fail/repair churn. *)
@@ -304,6 +359,9 @@ let () =
           Alcotest.test_case "predicate over failures and bitrot" `Quick
             test_predicate_over_failures_and_bitrot;
           Alcotest.test_case "predicate: last block decides" `Quick test_predicate_last_block_decides;
+          Alcotest.test_case "replaced member reads the full group" `Quick
+            test_replaced_member_reads_full_group;
+          Alcotest.test_case "torn group record resets" `Quick test_torn_group_record_resets;
         ] );
       ( "safety",
         [

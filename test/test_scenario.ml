@@ -73,6 +73,8 @@ let test_parse_rejects_out_of_range () =
       | Error _ -> ())
     [
       "sites 0";
+      "sites 1025";
+      "sites 4611686018427387903";
       "latency -1";
       "horizon -5";
       "latency nan";
@@ -249,6 +251,90 @@ let prop_generated_schedules_consistent =
                (fun f -> contains f "stores disagree" || contains f "availability is")
                outcome.Scenario.failures))
 
+(* [parse] is total on hostile text: it never raises, and every refusal
+   has one of the parser's three shapes. *)
+let error_shape_ok e =
+  let starts prefix = String.starts_with ~prefix e in
+  let line_n =
+    starts "line "
+    &&
+    match String.index_from_opt e 5 ':' with
+    | Some j -> j > 5 && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub e 5 (j - 5))
+    | None -> false
+  in
+  line_n || starts "bad header:" || starts "missing '"
+
+let corpus_lines =
+  lazy
+    (Sys.readdir corpus_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".scn")
+    |> List.sort compare
+    |> List.map (fun f ->
+           let ic = open_in (Filename.concat corpus_dir f) in
+           let text = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           Array.of_list (String.split_on_char '\n' text)))
+
+(* Tokens that sit on the edges of the grammar: numeric bounds and
+   non-numbers, separators and keywords in the wrong place. *)
+let hostile_numbers =
+  [| "0"; "-1"; "1025"; "100000000"; "4611686018427387903"; "-4611686018427387904"; "1e308";
+     "-0.0"; "nan"; "inf"; "0x10" |]
+
+let hostile_words =
+  [| "true"; "maybe"; "|"; "||"; "@"; "@-1"; "@nan"; "#"; "fail"; "repair"; "write"; "read";
+     "partition"; "sites"; "scheme"; "blocks"; "voting"; "dynamic"; "witnesses"; "fault-drop";
+     "expect-available"; "\t"; "\r" |]
+
+let is_number w = Option.is_some (float_of_string_opt w)
+
+(* One token-level edit: overwrite a number with a hostile one, overwrite
+   any token, drop a token, or insert one. *)
+let mutate_line rng line =
+  let words = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+  let pick pool = pool.(Random.State.int rng (Array.length pool)) in
+  let any () = pick (if Random.State.bool rng then hostile_numbers else hostile_words) in
+  let some_index p =
+    match List.concat (List.mapi (fun i w -> if p w then [ i ] else []) words) with
+    | [] -> None
+    | is -> Some (List.nth is (Random.State.int rng (List.length is)))
+  in
+  let edit i f = List.concat (List.mapi (fun j w -> if j = i then f () else [ w ]) words) in
+  let words =
+    match (Random.State.int rng 4, some_index is_number, some_index (fun _ -> true)) with
+    | 0, Some i, _ -> edit i (fun () -> [ pick hostile_numbers ])
+    | 1, _, Some i -> edit i (fun () -> [ any () ])
+    | 2, _, Some i -> edit i (fun () -> [])
+    | _ -> any () :: words
+  in
+  String.concat " " words
+
+let mutated_corpus_gen =
+  QCheck.Gen.(
+    map2
+      (fun (file, seed) k ->
+        let files = Lazy.force corpus_lines in
+        let lines = Array.copy (List.nth files (file mod List.length files)) in
+        let rng = Random.State.make [| seed |] in
+        for _ = 1 to k do
+          let i = Random.State.int rng (Array.length lines) in
+          lines.(i) <- mutate_line rng lines.(i)
+        done;
+        String.concat "\n" (Array.to_list lines))
+      (pair nat nat) (int_range 1 4))
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"parse never raises; errors have one of three shapes" ~count:10000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         frequency
+           [ (1, string_size ~gen:printable (int_range 0 200)); (3, mutated_corpus_gen) ]))
+    (fun text ->
+      match Scenario.parse text with
+      | Ok _ -> true
+      | Error e -> error_shape_ok e
+      | exception exn -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn))
+
 let corpus_tests () =
   Sys.readdir corpus_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".scn")
@@ -272,7 +358,11 @@ let () =
           Alcotest.test_case "out-of-range ids and arguments" `Quick test_parse_rejects_out_of_range;
           Alcotest.test_case "faulty scenario runs" `Quick test_faulty_scenario_still_passes_expectations;
         ] );
-      ("generated", [ QCheck_alcotest.to_alcotest prop_generated_schedules_consistent ]);
+      ( "generated",
+        [
+          QCheck_alcotest.to_alcotest prop_generated_schedules_consistent;
+          QCheck_alcotest.to_alcotest prop_parse_total;
+        ] );
       ( "executor",
         [
           Alcotest.test_case "passing expectations" `Quick test_run_passing_expectations;
